@@ -130,7 +130,8 @@ impl SearchEngine {
     }
 
     /// Publication ordinal of the latest snapshot (0 for a freshly
-    /// built engine, +1 per published apply/compact).
+    /// built engine, +1 per published apply/compact; an auto-compacting
+    /// [`apply`](Self::apply) publishes twice, so counts +2).
     pub fn generation(&self) -> u64 {
         self.writer.generation()
     }

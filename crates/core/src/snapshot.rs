@@ -452,7 +452,9 @@ pub struct EngineSnapshot {
 
 impl EngineSnapshot {
     /// This snapshot's publication ordinal (0 for a freshly built
-    /// engine, +1 per published apply/compact).
+    /// engine, +1 per published apply/compact; an auto-compacting
+    /// [`EngineWriter::apply`](crate::EngineWriter::apply) publishes
+    /// twice, so counts +2).
     pub fn generation(&self) -> u64 {
         self.generation
     }

@@ -88,7 +88,9 @@ pub struct ApplyOutcome {
     /// The slot remap of an auto-compaction, when the engine's
     /// [`CompactionPolicy`] triggered one — **every previously held
     /// [`TupleId`] must be remapped through it**. `None` on the common
-    /// patch-only path.
+    /// patch-only path. When `Some`, the apply published two
+    /// generations: the patched state (old id space) and then the
+    /// compacted one (new id space); readers may have pinned either.
     pub compaction: Option<TupleRemap>,
 }
 
@@ -359,7 +361,8 @@ impl EngineWriter {
     }
 
     /// Publication ordinal of the latest snapshot (0 for a freshly
-    /// built engine, +1 per published apply/compact).
+    /// built engine, +1 per published apply/compact; an auto-compacting
+    /// [`apply`](Self::apply) publishes twice, so counts +2).
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -526,7 +529,10 @@ impl EngineWriter {
     /// With a [`CompactionPolicy::TombstoneRatio`] policy, a successful
     /// apply that leaves the dead-slot fraction at or above the
     /// threshold triggers a full [`EngineWriter::compact`]; the remap
-    /// is surfaced through [`ApplyOutcome::compaction`].
+    /// is surfaced through [`ApplyOutcome::compaction`]. Such an apply
+    /// publishes **two** generations — the patched state, then the
+    /// compacted one — and a reader may pin either, so
+    /// [`generation`](Self::generation) advances by 2.
     pub fn apply(&mut self) -> Result<ApplyOutcome, CoreError> {
         if self.poisoned {
             return Err(CoreError::EnginePoisoned);

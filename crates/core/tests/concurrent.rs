@@ -386,11 +386,15 @@ fn concurrent_readers_see_their_pinned_generation_exactly() {
         // Per-generation ground truth the writer records at each
         // publish: (generation, database clone, aliases clone).
         type Truth = (u64, Database, HashMap<TupleId, String>);
-        let truth: Mutex<Vec<Truth>> = Mutex::new(vec![(
-            engine.generation(),
-            engine.db().clone(),
-            engine.aliases().clone(),
-        )]);
+        let truth: Mutex<Vec<Truth>> = Mutex::new(Vec::new());
+        let record = |engine: &SearchEngine| {
+            truth.lock().unwrap().push((
+                engine.generation(),
+                engine.db().clone(),
+                engine.aliases().clone(),
+            ));
+        };
+        record(&engine);
         // (generation, observation) pairs the readers collect.
         let seen: Mutex<Vec<(u64, SnapshotView)>> = Mutex::new(Vec::new());
         let done = AtomicBool::new(false);
@@ -428,7 +432,10 @@ fn concurrent_readers_see_their_pinned_generation_exactly() {
             }
 
             // The writer: typed mutations, applies, and a mid-run
-            // compaction, publishing a generation per batch.
+            // compaction. `apply` and `compact` each publish a
+            // generation, and each one is recorded right after it goes
+            // live — readers may pin any of them, including the
+            // pre-compaction generation of round 4.
             let mut rng = StdRng::seed_from_u64(seed ^ 0xc0ffee);
             let mut mutator = Mutator::new(engine.db());
             for round in 0..8usize {
@@ -436,14 +443,11 @@ fn concurrent_readers_see_their_pinned_generation_exactly() {
                     mutator.random_op(&mut engine, &mut rng);
                 }
                 let _ = engine.apply().unwrap();
+                record(&engine);
                 if round == 4 {
                     engine.compact().unwrap();
+                    record(&engine);
                 }
-                truth.lock().unwrap().push((
-                    engine.generation(),
-                    engine.db().clone(),
-                    engine.aliases().clone(),
-                ));
             }
             done.store(true, Ordering::SeqCst);
         });
@@ -465,9 +469,15 @@ fn concurrent_readers_see_their_pinned_generation_exactly() {
         let seen = seen.into_inner().unwrap();
         assert!(seen.len() >= READERS, "each reader observed at least once");
         for (generation, observation) in seen {
-            let (db, aliases) = by_gen
-                .get(&generation)
-                .expect("readers only ever see generations the writer published");
+            let (db, aliases) = by_gen.get(&generation).unwrap_or_else(|| {
+                let mut published: Vec<u64> = by_gen.keys().copied().collect();
+                published.sort_unstable();
+                panic!(
+                    "seed {seed}: reader saw generation {generation}, truth records \
+                     {published:?} (readers only ever see generations the writer \
+                     published)"
+                )
+            });
             let expected = oracles.entry(generation).or_insert_with(|| {
                 let rebuilt = oracle(db, &schema, aliases);
                 let snap = rebuilt.snapshot();
